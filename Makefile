@@ -24,17 +24,18 @@ race:
 ## bench-smoke: one iteration of every pipeline-component benchmark, as a
 ## does-it-still-run check (not a measurement)
 bench-smoke:
-	$(GO) test . ./internal/discord -run '^$$' -bench Component -benchtime 1x
+	$(GO) test . ./internal/discord ./internal/server -run '^$$' -bench Component -benchtime 1x
 
 ## bench: the measured component benchmarks with allocation stats, the
 ## configuration used for BENCH_*.json (BENCH_2.json's induce/build/density
 ## rows were captured with BENCHTIME=50x)
 BENCHTIME ?= 5x
 bench:
-	$(GO) test . ./internal/discord -run '^$$' -bench 'Component|Extension' -benchtime $(BENCHTIME) -benchmem
+	$(GO) test . ./internal/discord ./internal/server -run '^$$' -bench 'Component|Extension' -benchtime $(BENCHTIME) -benchmem
 
-## perfgate: run the kernel and induction benchmark families and diff them
-## against the checked-in baselines with cmd/gvperf. ns/op gets a
+## perfgate: run the kernel, induction and request-decode benchmark
+## families and diff them against the checked-in baselines with
+## cmd/gvperf (BENCH_6.json holds the request-decode rows). ns/op gets a
 ## deliberately loose ceiling (CI runners are not the measurement host;
 ## the gate catches order-of-magnitude slides, not jitter) while allocs/op
 ## is near-exact — machine-independent, so new allocations on a pinned
@@ -48,9 +49,11 @@ perfgate:
 		-benchtime 5x -benchmem > $(PERFGATE_OUT)
 	$(GO) test . -run '^$$' -bench 'Component_SequiturInduce|Component_GrammarBuild|Component_DensityCurve' \
 		-benchtime 5x -benchmem >> $(PERFGATE_OUT)
-	$(GO) run ./cmd/gvperf -baseline BENCH_5.json -baseline BENCH_2.json \
+	$(GO) test ./internal/server -run '^$$' -bench 'Component_RequestDecode' \
+		-benchtime 5x -benchmem >> $(PERFGATE_OUT)
+	$(GO) run ./cmd/gvperf -baseline BENCH_5.json -baseline BENCH_2.json -baseline BENCH_6.json \
 		-tol 3.0 -alloc-tol 8 -family-tol 'induction=5.0:24' \
-		-min-matches 23 -input $(PERFGATE_OUT)
+		-min-matches 27 -input $(PERFGATE_OUT)
 
 ## ensemble-smoke: the parameter-free ensemble's core contracts as a quick
 ## gate — sampler determinism/validity, the members=1 byte-equivalence to
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sequitur -run '^$$' -fuzz '^FuzzInduce$$' -fuzztime 3s
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 3s
 	$(GO) test ./internal/discord -run '^$$' -fuzz '^FuzzDistKernel$$' -fuzztime 3s -fuzzminimizetime 1x
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 3s
 
 ## crashtest: the kill-recovery property test — a real gvad subprocess is
 ## SIGKILLed at randomized points (including mid-WAL-write via the

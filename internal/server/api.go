@@ -6,6 +6,7 @@ import (
 
 	"grammarviz"
 	"grammarviz/internal/modes"
+	"grammarviz/internal/timeseries"
 )
 
 // Modes accepted by POST /v1/analyze, aliased from internal/modes — the
@@ -26,7 +27,9 @@ const maxEnsembleMembers = 128
 
 // AnalyzeRequest is the JSON body of POST /v1/analyze.
 type AnalyzeRequest struct {
-	// Series is the univariate time series to analyze (required).
+	// Series is the univariate time series to analyze (required). A null
+	// element is a missing value: it decodes as NaN, which is rejected
+	// unless Interpolate is set.
 	Series []float64 `json:"series"`
 	// Mode selects the detector: rra | besteffort | density | hotsax.
 	// Empty selects besteffort — the mode built for a service, where a
@@ -65,8 +68,8 @@ type AnalyzeRequest struct {
 	// (partial/fallback) instead of failing it.
 	TimeoutMS int64 `json:"timeout_ms"`
 
-	// Interpolate replaces NaN/Inf values by linear interpolation instead
-	// of rejecting the series.
+	// Interpolate fills missing (null) values by linear interpolation
+	// instead of rejecting the series.
 	Interpolate bool `json:"interpolate"`
 }
 
@@ -121,6 +124,11 @@ func (r *AnalyzeRequest) validate(maxSeries int) error {
 	}
 	if maxSeries > 0 && len(r.Series) > maxSeries {
 		return fmt.Errorf("series has %d points, server cap is %d", len(r.Series), maxSeries)
+	}
+	if !r.Interpolate {
+		if err := timeseries.ValidateFinite(r.Series); err != nil {
+			return fmt.Errorf("series: %w (set interpolate to fill missing values)", err)
+		}
 	}
 	//gvad:modes Serving
 	switch r.Mode {

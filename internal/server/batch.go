@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync/atomic"
@@ -48,10 +47,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if status, err := s.decodeRequest(w, r, &req); err != nil {
 		s.requests.With("unknown", "invalid").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch request: %w", err))
+		writeError(w, status, fmt.Errorf("decode batch request: %w", err))
 		return
 	}
 	if len(req.Requests) == 0 {

@@ -541,10 +541,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AnalyzeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if status, err := s.decodeRequest(w, r, &req); err != nil {
 		s.requests.With("unknown", "invalid").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		writeError(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if err := req.validate(s.cfg.MaxSeriesLen); err != nil {

@@ -71,6 +71,8 @@ type StreamOpenResponse struct {
 // handle: a retry of an already-applied chunk is detected (409 with the
 // current length) instead of double-appended.
 type StreamAppendRequest struct {
+	// Points are the chunk's values. A null element decodes as NaN and
+	// rejects the whole chunk before anything is logged.
 	Points []float64 `json:"points"`
 	Offset *int      `json:"offset,omitempty"`
 }
@@ -357,9 +359,8 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StreamAppendRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	if status, err := s.decodeRequest(w, r, &req); err != nil {
+		writeError(w, status, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	if len(req.Points) == 0 {
