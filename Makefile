@@ -35,8 +35,9 @@ bench:
 
 ## perfgate: run the kernel, induction and request-decode benchmark
 ## families and diff them against the checked-in baselines with
-## cmd/gvperf (BENCH_6.json holds the request-decode rows). ns/op gets a
-## deliberately loose ceiling (CI runners are not the measurement host;
+## cmd/gvperf (BENCH_7.json holds the request-decode and float-scan
+## rows; its request-decode rows replace BENCH_6.json's, since the later
+## file wins on a shared name). ns/op gets a deliberately loose ceiling (CI runners are not the measurement host;
 ## the gate catches order-of-magnitude slides, not jitter) while allocs/op
 ## is near-exact — machine-independent, so new allocations on a pinned
 ## path fail. The induction family (BENCH_2.json rows, measured at 50x)
@@ -49,11 +50,11 @@ perfgate:
 		-benchtime 5x -benchmem > $(PERFGATE_OUT)
 	$(GO) test . -run '^$$' -bench 'Component_SequiturInduce|Component_GrammarBuild|Component_DensityCurve' \
 		-benchtime 5x -benchmem >> $(PERFGATE_OUT)
-	$(GO) test ./internal/server -run '^$$' -bench 'Component_RequestDecode' \
+	$(GO) test ./internal/server -run '^$$' -bench 'Component_(RequestDecode|ParseFloat)' \
 		-benchtime 5x -benchmem >> $(PERFGATE_OUT)
 	$(GO) run ./cmd/gvperf -baseline BENCH_5.json -baseline BENCH_2.json -baseline BENCH_6.json \
-		-tol 3.0 -alloc-tol 8 -family-tol 'induction=5.0:24' \
-		-min-matches 27 -input $(PERFGATE_OUT)
+		-baseline BENCH_7.json -tol 3.0 -alloc-tol 8 -family-tol 'induction=5.0:24' \
+		-min-matches 29 -input $(PERFGATE_OUT)
 
 ## ensemble-smoke: the parameter-free ensemble's core contracts as a quick
 ## gate — sampler determinism/validity, the members=1 byte-equivalence to
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test ./internal/checkpoint -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 3s
 	$(GO) test ./internal/discord -run '^$$' -fuzz '^FuzzDistKernel$$' -fuzztime 3s -fuzzminimizetime 1x
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 3s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzParseFloat$$' -fuzztime 3s
 
 ## crashtest: the kill-recovery property test — a real gvad subprocess is
 ## SIGKILLed at randomized points (including mid-WAL-write via the

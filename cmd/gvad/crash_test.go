@@ -26,6 +26,7 @@ import (
 	"os"
 	"os/exec"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,10 +61,13 @@ func crashChild() {
 
 // daemon wraps one child process incarnation.
 type daemon struct {
-	cmd *exec.Cmd
-	url string
+	cmd  *exec.Cmd
+	url  string
+	once sync.Once
 }
 
+// startDaemon starts a child and registers its kill as a cleanup of t, so
+// a test that fails before killing it leaves nothing running.
 func startDaemon(t *testing.T, stateDir string, extraEnv ...string) *daemon {
 	t.Helper()
 	cmd := exec.Command(os.Args[0])
@@ -72,6 +76,7 @@ func startDaemon(t *testing.T, stateDir string, extraEnv ...string) *daemon {
 		"GVAD_CRASHTEST_STATEDIR="+stateDir,
 	)
 	cmd.Env = append(cmd.Env, extraEnv...)
+	setDeathSignal(cmd)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +104,9 @@ func startDaemon(t *testing.T, stateDir string, extraEnv ...string) *daemon {
 	}()
 	select {
 	case addr := <-addrCh:
-		return &daemon{cmd: cmd, url: "http://" + addr}
+		d := &daemon{cmd: cmd, url: "http://" + addr}
+		t.Cleanup(d.kill)
+		return d
 	case <-time.After(10 * time.Second):
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -108,9 +115,13 @@ func startDaemon(t *testing.T, stateDir string, extraEnv ...string) *daemon {
 	}
 }
 
+// kill SIGKILLs the child (no drain, no checkpoint, no deferred cleanup)
+// and reaps it; later calls do nothing.
 func (d *daemon) kill() {
-	d.cmd.Process.Kill() // SIGKILL: no drain, no checkpoint, no deferred cleanup
-	d.cmd.Wait()
+	d.once.Do(func() {
+		d.cmd.Process.Kill()
+		d.cmd.Wait()
+	})
 }
 
 type crashClient struct {

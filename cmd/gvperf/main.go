@@ -23,7 +23,7 @@
 // Benchmarks are classified into perf families by name pattern — kernel
 // (the distance kernels and discord searches), induction (discretize,
 // Sequitur, grammar build, density curve), serving (streaming append, the
-// ensemble and request decoding) — and each family can override the global tolerances with
+// ensemble, request decoding and its float scan) — and each family can override the global tolerances with
 // a repeatable -family-tol family=ns[:alloc] flag. The induction path
 // pools allocations across runs, so its allocs/op at the gate's short
 // -benchtime includes warm-up the 50x baselines amortized away; a wider
@@ -159,7 +159,7 @@ var familyRules = []struct {
 }{
 	{"kernel", regexp.MustCompile(`^Component_(DistKernel|Search)`)},
 	{"induction", regexp.MustCompile(`^Component_(SAXDiscretize|SequiturInduce|GrammarBuild|DensityCurve)`)},
-	{"serving", regexp.MustCompile(`^Component_(StreamingAppend|EnsembleDensity|RequestDecode)`)},
+	{"serving", regexp.MustCompile(`^Component_(StreamingAppend|EnsembleDensity|RequestDecode|ParseFloat)`)},
 }
 
 // Family returns the perf family of a normalized benchmark name.

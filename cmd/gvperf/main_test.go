@@ -171,6 +171,7 @@ func TestFamily(t *testing.T) {
 		"Component_StreamingAppend":                "serving",
 		"Component_EnsembleDensity":                "serving",
 		"Component_RequestDecode/server/4k":        "serving",
+		"Component_ParseFloat/fused":               "serving",
 		"Component_RRA/workers=2":                  "other",
 		"Ablation_Reduction":                       "other",
 	}

@@ -22,8 +22,11 @@ import (
 // which those arrays are replaced by null. See DESIGN.md §12.
 //
 // Exactness: each element of such an array is checked against the JSON
-// number grammar and converted with strconv.ParseFloat(s, 64), the call
-// encoding/json makes for a float64, so every value is bit-identical. An
+// number grammar and converted in the same pass (scanFloat). The scan
+// returns a float64 only when it is provably the correctly rounded value
+// (Clinger's exact fast path or Eisel–Lemire); otherwise the literal goes
+// to strconv.ParseFloat(s, 64), the call encoding/json makes for a
+// float64. Either way every value is bit-identical to encoding/json's. An
 // element that is not a number or null fails the request, as it fails
 // encoding/json's decode (a type or syntax error). The residual keeps
 // every other key and value, so field matching, duplicate keys, unknown
@@ -349,6 +352,7 @@ func parseFloats(b []byte, i int, field string) (vals []float64, end int, err er
 		return nil, p, fmt.Errorf("%s: malformed array of %d commas in %d bytes", field, n-1, len(b)-1-p)
 	}
 	vals = make([]float64, n)
+	pow := powersOfTen()
 	for k := range vals {
 		if k > 0 {
 			if b[p] != ',' {
@@ -357,21 +361,23 @@ func parseFloats(b []byte, i int, field string) (vals []float64, end int, err er
 			p = skipWS(b, p+1)
 		}
 		q := p
-		if bytes.HasPrefix(b[p:], []byte("null")) {
+		if b[p] == 'n' && bytes.HasPrefix(b[p:], []byte("null")) {
 			vals[k], q = math.NaN(), p+4
 		} else {
-			var ok bool
-			if q, ok = scanNumber(b, p); !ok {
+			var ok, exact bool
+			if vals[k], q, ok, exact = scanFloat(b, p, pow); !ok {
 				if q == p {
 					return nil, p, fmt.Errorf("%s[%d]: found %q where a number or null belongs", field, k, b[p])
 				}
 				return nil, p, fmt.Errorf("%s[%d]: invalid number literal %q", field, k, b[p:q+1])
 			}
-			// The literal is viewed in place, not copied; the error
-			// copies it, so nothing refers to the pooled body once the
-			// decode returns.
-			if vals[k], err = strconv.ParseFloat(unsafe.String(&b[p], q-p), 64); err != nil {
-				return nil, p, fmt.Errorf("%s[%d]: number %q: %w", field, k, b[p:q], err.(*strconv.NumError).Err)
+			// The rare literal the scan cannot round is viewed in place,
+			// not copied; the error copies it, so nothing refers to the
+			// pooled body once the decode returns.
+			if !exact {
+				if vals[k], err = strconv.ParseFloat(unsafe.String(&b[p], q-p), 64); err != nil {
+					return nil, p, fmt.Errorf("%s[%d]: number %q: %w", field, k, b[p:q], err.(*strconv.NumError).Err)
+				}
 			}
 		}
 		p = skipWS(b, q)
@@ -382,50 +388,105 @@ func parseFloats(b []byte, i int, field string) (vals []float64, end int, err er
 	return vals, p + 1, nil
 }
 
-// scanNumber returns the end of the JSON number starting at b[i] and
-// whether it is one: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-// followed by whitespace, ',' or ']'. On failure end is the offending
-// byte. b must end in ']' (parseFloats' sentinel).
-func scanNumber(b []byte, i int) (end int, ok bool) {
-	if b[i] == '-' {
+// scanFloat scans and converts the JSON number at b[i] in one pass. The
+// number must match -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and be
+// followed by whitespace, ',' or ']'; ok reports whether it does, and on
+// failure end is the offending byte. b must end in ']' (parseFloats'
+// sentinel), so no scan bounds-checks.
+//
+// The conversion keeps up to 19 significant digits in a uint64 and tries
+// Clinger's exact fast path, then Eisel–Lemire (float.go). exact is false
+// when neither can round correctly: a nonzero digit past the 19th, a
+// halfway case, or a result outside the normal float64 range. The caller
+// then converts the literal with strconv.ParseFloat.
+//
+//gvad:noalloc
+func scanFloat(b []byte, i int, pow *pow10Table) (f float64, end int, ok, exact bool) {
+	neg := b[i] == '-'
+	if neg {
 		i++
 	}
+	var (
+		mant  uint64
+		nd    int  // significant digits in mant
+		e10   int  // the value is mant·10^e10
+		trunc bool // a nonzero digit was dropped
+	)
 	switch {
 	case b[i] == '0':
 		i++
 	case '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i+1)
+		for ; isDigit(b[i]); i++ {
+			if nd < 19 {
+				mant = mant*10 + uint64(b[i]-'0')
+				nd++
+			} else {
+				e10++
+				trunc = trunc || b[i] != '0'
+			}
+		}
 	default:
-		return i, false
+		return 0, i, false, false
 	}
 	if b[i] == '.' {
-		if !isDigit(b[i+1]) {
-			return i + 1, false
+		i++
+		if !isDigit(b[i]) {
+			return 0, i, false, false
 		}
-		i = skipDigits(b, i+1)
+		for ; isDigit(b[i]); i++ {
+			switch {
+			case nd == 0 && b[i] == '0':
+				e10-- // a leading zero only moves the point
+			case nd < 19:
+				mant = mant*10 + uint64(b[i]-'0')
+				nd++
+				e10--
+			default:
+				trunc = trunc || b[i] != '0'
+			}
+		}
 	}
 	if b[i] == 'e' || b[i] == 'E' {
 		i++
+		eneg := b[i] == '-'
 		if b[i] == '+' || b[i] == '-' {
 			i++
 		}
 		if !isDigit(b[i]) {
-			return i, false
+			return 0, i, false, false
 		}
-		i = skipDigits(b, i)
+		// The exponent saturates where strconv's does, so e10 cannot
+		// overflow and mant·10^e10 is the value strconv rounds, even for
+		// a literal with thousands of digits before the exponent.
+		x := 0
+		for ; isDigit(b[i]); i++ {
+			if x < 10000 {
+				x = x*10 + int(b[i]-'0')
+			}
+		}
+		if eneg {
+			x = -x
+		}
+		e10 += x
 	}
 	switch b[i] {
 	case ' ', '\t', '\r', '\n', ',', ']':
-		return i, true
+	default:
+		return 0, i, false, false
 	}
-	return i, false
-}
-
-func skipDigits(b []byte, i int) int {
-	for isDigit(b[i]) {
-		i++
+	switch {
+	case trunc:
+		return 0, i, true, false
+	case mant == 0:
+		if neg {
+			return math.Copysign(0, -1), i, true, true
+		}
+		return 0, i, true, true
 	}
-	return i
+	if f, exact = clinger(mant, e10, neg); !exact {
+		f, exact = eiselLemire(mant, e10, neg, pow)
+	}
+	return f, i, true, exact
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }

@@ -275,6 +275,7 @@ func TestRequestDecodeAllocs(t *testing.T) {
 }
 
 func BenchmarkComponent_RequestDecode(b *testing.B) {
+	powersOfTen() // a one-time build on first use, not per-request work
 	decoders := []struct {
 		name   string
 		decode func(body []byte, req *AnalyzeRequest) error
