@@ -14,7 +14,7 @@ import (
 // O(n^2) search — the exactness baseline of the paper's Table 1. It also
 // returns the number of distance-function calls made.
 func BruteForceDiscords(ts []float64, window, k int) ([]Discord, int64, error) {
-	res, err := discord.BruteForce(ts, window, k)
+	res, err := discord.BruteForceStatsCtx(context.Background(), discord.NewStats(ts), window, k)
 	if err != nil {
 		return nil, res.DistCalls, fmt.Errorf("grammarviz: %w", err)
 	}
@@ -27,7 +27,7 @@ func BruteForceDiscords(ts []float64, window, k int) ([]Discord, int64, error) {
 // paa and alphabet only steer the search-order heuristic. It also returns
 // the number of distance-function calls made.
 func HOTSAXDiscords(ts []float64, window, paa, alphabet, k int, seed int64) ([]Discord, int64, error) {
-	res, err := discord.HOTSAX(ts, sax.Params{Window: window, PAA: paa, Alphabet: alphabet}, k, seed)
+	res, err := discord.HOTSAXStatsCtx(context.Background(), discord.NewStats(ts), sax.Params{Window: window, PAA: paa, Alphabet: alphabet}, k, seed)
 	if err != nil {
 		return nil, res.DistCalls, fmt.Errorf("grammarviz: %w", err)
 	}
@@ -36,10 +36,12 @@ func HOTSAXDiscords(ts []float64, window, paa, alphabet, k int, seed int64) ([]D
 
 // HOTSAXDiscordsCtx is HOTSAXDiscords with cooperative cancellation: the
 // search polls ctx at bounded intervals and returns a ctx.Err()-wrapped
-// error when the deadline passes. With a never-cancelled context the
-// result is identical to HOTSAXDiscords'. It serves deadline-bound
-// callers such as the gvad daemon's hotsax mode, and runs with the coded
-// MINDIST pre-filter — same discords, fewer distance calls.
+// error when the deadline passes. It serves deadline-bound callers such
+// as the gvad daemon's hotsax mode, and runs with the coded MINDIST
+// pre-filter. With a never-cancelled context its discords are identical
+// to HOTSAXDiscords', but its distance-call count is lower: the filter
+// skips comparisons that could change nothing, and its count plus those
+// skipped comparisons equals HOTSAXDiscords' count.
 func HOTSAXDiscordsCtx(ctx context.Context, ts []float64, window, paa, alphabet, k int, seed int64) ([]Discord, int64, error) {
 	res, err := discord.HOTSAXStatsCodedCtx(ctx, discord.NewStats(ts), sax.Params{Window: window, PAA: paa, Alphabet: alphabet}, k, seed)
 	if err != nil {

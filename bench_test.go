@@ -323,8 +323,9 @@ func BenchmarkComponent_DensityCurve(b *testing.B) {
 	}
 }
 
-// BenchmarkComponent_RRA runs the discord search serially and fanned over
-// 2 and 4 workers sharing one Stats. The discords are byte-identical at
+// BenchmarkComponent_RRA runs the production discord search (coded
+// MINDIST pre-filter on) serially and fanned over 2 and 4 workers sharing
+// one Stats. The discords are byte-identical at
 // every worker count (internal/discord/equivalence_test.go); scaling is
 // only visible on multi-core hosts.
 func BenchmarkComponent_RRA(b *testing.B) {
@@ -338,7 +339,7 @@ func BenchmarkComponent_RRA(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := discord.RRAParallelStats(st, p.Rules, 1, 1, workers); err != nil {
+				if _, err := discord.RRAParallelStatsCodedCtx(context.Background(), st, p.Rules, 1, 1, workers, ds.Params); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -350,7 +351,7 @@ func BenchmarkComponent_HOTSAX(b *testing.B) {
 	ds := dataset(b, "ecg0606")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := discord.HOTSAX(ds.Series, ds.Params, 1, 1); err != nil {
+		if _, err := discord.HOTSAXStatsCtx(context.Background(), discord.NewStats(ds.Series), ds.Params, 1, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -384,7 +385,7 @@ func BenchmarkComponent_BruteForce(b *testing.B) {
 	ds := dataset(b, "ecg0606")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := discord.BruteForce(ds.Series, ds.Params.Window, 1); err != nil {
+		if _, err := discord.BruteForceStatsCtx(context.Background(), discord.NewStats(ds.Series), ds.Params.Window, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -499,65 +500,6 @@ func BenchmarkAblation_Reduction(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_RRAOrdering disables RRA's two search-order heuristics
-// (rarity-ordered outer loop; same-rule-first inner loop) to quantify how
-// much of the Table 1 pruning each contributes.
-func BenchmarkAblation_RRAOrdering(b *testing.B) {
-	ds := dataset(b, "ecg15")
-	p, err := core.Analyze(ds.Series, core.Config{Params: ds.Params, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, tt := range []struct {
-		name   string
-		tuning discord.Tuning
-	}{
-		{"Full", discord.Tuning{}},
-		{"NoRarityOrder", discord.Tuning{NoRarityOrder: true}},
-		{"NoSameRuleFirst", discord.Tuning{NoSameGroupFirst: true}},
-		{"Neither", discord.Tuning{NoRarityOrder: true, NoSameGroupFirst: true}},
-	} {
-		b.Run(tt.name, func(b *testing.B) {
-			var calls int64
-			for i := 0; i < b.N; i++ {
-				res, err := discord.RRATuned(ds.Series, p.Rules, 1, 1, tt.tuning)
-				if err != nil {
-					b.Fatal(err)
-				}
-				calls = res.DistCalls
-			}
-			b.ReportMetric(float64(calls), "rra_calls/op")
-		})
-	}
-}
-
-// BenchmarkAblation_HOTSAXOrdering does the same for HOTSAX's magic
-// orderings, reproducing the original paper's claim that the orderings are
-// what makes HOTSAX beat brute force.
-func BenchmarkAblation_HOTSAXOrdering(b *testing.B) {
-	ds := dataset(b, "ecg0606")
-	for _, tt := range []struct {
-		name   string
-		tuning discord.Tuning
-	}{
-		{"Full", discord.Tuning{}},
-		{"NoWordOrder", discord.Tuning{NoRarityOrder: true}},
-		{"NoSameWordFirst", discord.Tuning{NoSameGroupFirst: true}},
-	} {
-		b.Run(tt.name, func(b *testing.B) {
-			var calls int64
-			for i := 0; i < b.N; i++ {
-				res, err := discord.HOTSAXTuned(ds.Series, ds.Params, 1, 1, tt.tuning)
-				if err != nil {
-					b.Fatal(err)
-				}
-				calls = res.DistCalls
-			}
-			b.ReportMetric(float64(calls), "hotsax_calls/op")
-		})
-	}
-}
-
 // BenchmarkAblation_WindowSeed shows that the sliding-window length is
 // only a seed: RRA finds the anomaly across a range of windows (the
 // Section 5.2 observation), with call counts reported per window.
@@ -659,7 +601,11 @@ func BenchmarkExtension_NearestNonSelfParallel(b *testing.B) {
 			// workers share one Stats and allocate only per-worker counters.
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if len(discord.NearestNonSelfParallelStats(st, p.Rules, workers)) == 0 {
+				nn, err := discord.NearestNonSelfParallelStatsCtx(context.Background(), st, p.Rules, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(nn) == 0 {
 					b.Fatal("no NN results")
 				}
 			}

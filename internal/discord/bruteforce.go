@@ -9,26 +9,14 @@ import (
 	"grammarviz/internal/workspace"
 )
 
-// BruteForce finds the top-k fixed-length discords by exhaustive nested
-// search: every candidate subsequence is compared against every non-self
-// match. It is O(m^2) distance calls and exists as the exactness baseline
-// for Table 1. Early abandoning inside the kernel does not reduce the call
-// count, matching the paper's accounting.
-func BruteForce(ts []float64, window, k int) (Result, error) {
-	return BruteForceStats(NewStats(ts), window, k)
-}
-
-// BruteForceStats is BruteForce on prebuilt series statistics shared with
-// the caller.
-func BruteForceStats(st *Stats, window, k int) (Result, error) {
-	return BruteForceStatsCtx(context.Background(), st, window, k)
-}
-
-// BruteForceStatsCtx is BruteForceStats with cooperative cancellation: the
-// nested loops poll ctx at bounded intervals and, when cancelled, the
-// discords of the fully completed top-k rounds are returned with Partial
-// set plus a ctx.Err()-wrapped error. Brute force is the search most in
-// need of a deadline — it is O(m^2) by design.
+// BruteForceStatsCtx finds the top-k fixed-length discords by exhaustive
+// nested search on prebuilt series statistics: every candidate
+// subsequence is compared against every non-self match. It is O(m^2)
+// distance calls and exists as the exactness baseline for Table 1. Early
+// abandoning inside the kernel does not reduce the call count, matching
+// the paper's accounting. The nested loops poll ctx at bounded intervals
+// and, when cancelled, the discords of the fully completed top-k rounds
+// are returned with Partial set plus a ctx.Err()-wrapped error.
 func BruteForceStatsCtx(ctx context.Context, st *Stats, window, k int) (Result, error) {
 	return bruteForceSearch(ctx, st, window, k, Tuning{})
 }

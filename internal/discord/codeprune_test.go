@@ -118,7 +118,9 @@ func TestMINDISTLowerBoundsKernel(t *testing.T) {
 }
 
 // TestHOTSAXCodedEquivalence pins the coded HOTSAX contract: byte-identical
-// discords, never more kernel calls, and the filter actually fires.
+// discords, and every comparison the filter skips is exactly one kernel
+// call the plain search makes (coded DistCalls + Pruned == plain
+// DistCalls), with the filter actually firing.
 func TestHOTSAXCodedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{1, 2, 3} {
@@ -136,8 +138,9 @@ func TestHOTSAXCodedEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(coded.Discords, plain.Discords) {
 			t.Errorf("seed %d: coded HOTSAX discords differ:\n coded %+v\n plain %+v", seed, coded.Discords, plain.Discords)
 		}
-		if coded.DistCalls > plain.DistCalls {
-			t.Errorf("seed %d: coded DistCalls %d > plain %d", seed, coded.DistCalls, plain.DistCalls)
+		if coded.DistCalls+coded.Pruned != plain.DistCalls {
+			t.Errorf("seed %d: coded DistCalls %d + Pruned %d != plain DistCalls %d",
+				seed, coded.DistCalls, coded.Pruned, plain.DistCalls)
 		}
 		if coded.Pruned == 0 {
 			t.Errorf("seed %d: coded HOTSAX pruned nothing", seed)
@@ -149,8 +152,11 @@ func TestHOTSAXCodedEquivalence(t *testing.T) {
 }
 
 // TestRRACodedEquivalence pins the coded RRA contract across serial and
-// parallel searches: byte-identical discords for every worker count, and a
-// serial call count that never rises.
+// parallel searches: byte-identical discords for every worker count, and
+// on the serial search every skipped comparison is exactly one kernel
+// call the plain search makes (coded DistCalls + Pruned == plain
+// DistCalls). Parallel counts depend on scheduling, so only the discords
+// are compared there.
 func TestRRACodedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{5, 6} {
@@ -159,19 +165,20 @@ func TestRRACodedEquivalence(t *testing.T) {
 		rs := ruleSetFor(t, ts, p)
 		st := NewStats(ts)
 
-		plain, err := RRAStatsCtx(ctx, st, rs, 3, seed)
+		plain, err := rraParallel(ctx, st, Candidates(rs), 3, seed, 1, Tuning{}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: plain: %v", seed, err)
 		}
-		coded, err := RRAStatsCodedCtx(ctx, st, rs, 3, seed, p)
+		coded, err := RRAParallelStatsCodedCtx(ctx, st, rs, 3, seed, 1, p)
 		if err != nil {
 			t.Fatalf("seed %d: coded serial: %v", seed, err)
 		}
 		if !reflect.DeepEqual(coded.Discords, plain.Discords) {
 			t.Errorf("seed %d: coded serial RRA discords differ:\n coded %+v\n plain %+v", seed, coded.Discords, plain.Discords)
 		}
-		if coded.DistCalls > plain.DistCalls {
-			t.Errorf("seed %d: coded serial DistCalls %d > plain %d", seed, coded.DistCalls, plain.DistCalls)
+		if coded.DistCalls+coded.Pruned != plain.DistCalls {
+			t.Errorf("seed %d: coded serial DistCalls %d + Pruned %d != plain DistCalls %d",
+				seed, coded.DistCalls, coded.Pruned, plain.DistCalls)
 		}
 
 		for _, workers := range []int{2, 4} {

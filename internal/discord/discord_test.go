@@ -90,7 +90,7 @@ func TestEngineDistMatchesNaive(t *testing.T) {
 func TestBruteForceFindsPlantedAnomaly(t *testing.T) {
 	at, length := 600, 60
 	ts := anomalousSine(1200, 60, at, length, 1)
-	res, err := BruteForce(ts, 60, 1)
+	res, err := bruteForceOf(ts, 60, 1)
 	if err != nil {
 		t.Fatalf("BruteForce: %v", err)
 	}
@@ -105,14 +105,14 @@ func TestBruteForceFindsPlantedAnomaly(t *testing.T) {
 }
 
 func TestBruteForceErrors(t *testing.T) {
-	if _, err := BruteForce([]float64{1, 2, 3}, 10, 1); err == nil {
+	if _, err := bruteForceOf([]float64{1, 2, 3}, 10, 1); err == nil {
 		t.Error("oversize window should error")
 	}
-	if _, err := BruteForce([]float64{1, 2, 3}, 0, 1); err == nil {
+	if _, err := bruteForceOf([]float64{1, 2, 3}, 0, 1); err == nil {
 		t.Error("zero window should error")
 	}
 	// Series of exactly one window: no non-self match exists.
-	if _, err := BruteForce(make([]float64, 10), 10, 1); err != ErrNoCandidates {
+	if _, err := bruteForceOf(make([]float64, 10), 10, 1); err != ErrNoCandidates {
 		t.Errorf("err = %v, want ErrNoCandidates", err)
 	}
 }
@@ -129,7 +129,7 @@ func TestBruteForceCallCount(t *testing.T) {
 	}
 	// Cross-check against an actual run.
 	ts := anomalousSine(300, 30, 150, 30, 2)
-	res, err := BruteForce(ts, 30, 1)
+	res, err := bruteForceOf(ts, 30, 1)
 	if err != nil {
 		t.Fatalf("BruteForce: %v", err)
 	}
@@ -142,11 +142,11 @@ func TestHOTSAXAgreesWithBruteForce(t *testing.T) {
 	// HOTSAX is exact: same discord position and distance as brute force.
 	for seed := int64(1); seed <= 3; seed++ {
 		ts := anomalousSine(900, 45, 500, 45, seed)
-		bf, err := BruteForce(ts, 45, 1)
+		bf, err := bruteForceOf(ts, 45, 1)
 		if err != nil {
 			t.Fatalf("BruteForce: %v", err)
 		}
-		hs, err := HOTSAX(ts, sax.Params{Window: 45, PAA: 3, Alphabet: 3}, 1, seed)
+		hs, err := hotsaxOf(ts, sax.Params{Window: 45, PAA: 3, Alphabet: 3}, 1, seed)
 		if err != nil {
 			t.Fatalf("HOTSAX: %v", err)
 		}
@@ -164,7 +164,7 @@ func TestHOTSAXAgreesWithBruteForce(t *testing.T) {
 func TestHOTSAXFewerCallsThanBruteForce(t *testing.T) {
 	ts := anomalousSine(2000, 50, 1200, 50, 7)
 	bf := BruteForceCallCount(2000, 50)
-	hs, err := HOTSAX(ts, sax.Params{Window: 50, PAA: 4, Alphabet: 4}, 1, 7)
+	hs, err := hotsaxOf(ts, sax.Params{Window: 50, PAA: 4, Alphabet: 4}, 1, 7)
 	if err != nil {
 		t.Fatalf("HOTSAX: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestHOTSAXFewerCallsThanBruteForce(t *testing.T) {
 }
 
 func TestHOTSAXErrors(t *testing.T) {
-	if _, err := HOTSAX([]float64{1, 2}, sax.Params{Window: 10, PAA: 4, Alphabet: 4}, 1, 1); err == nil {
+	if _, err := hotsaxOf([]float64{1, 2}, sax.Params{Window: 10, PAA: 4, Alphabet: 4}, 1, 1); err == nil {
 		t.Error("oversize window should error")
 	}
 }
@@ -183,7 +183,7 @@ func TestRRAFindsPlantedAnomaly(t *testing.T) {
 	at, length := 600, 60
 	ts := anomalousSine(1200, 60, at, length, 3)
 	rs := ruleSetFor(t, ts, sax.Params{Window: 60, PAA: 6, Alphabet: 4})
-	res, err := RRA(ts, rs, 1, 3)
+	res, err := rraOf(ts, rs, 1, 3)
 	if err != nil {
 		t.Fatalf("RRA: %v", err)
 	}
@@ -197,12 +197,12 @@ func TestRRAFindsPlantedAnomaly(t *testing.T) {
 func TestRRAFewerCallsThanHOTSAX(t *testing.T) {
 	ts := anomalousSine(3000, 60, 1500, 60, 11)
 	p := sax.Params{Window: 60, PAA: 6, Alphabet: 4}
-	hs, err := HOTSAX(ts, p, 1, 11)
+	hs, err := hotsaxOf(ts, p, 1, 11)
 	if err != nil {
 		t.Fatalf("HOTSAX: %v", err)
 	}
 	rs := ruleSetFor(t, ts, p)
-	rr, err := RRA(ts, rs, 1, 11)
+	rr, err := rraOf(ts, rs, 1, 11)
 	if err != nil {
 		t.Fatalf("RRA: %v", err)
 	}
@@ -218,7 +218,7 @@ func TestRRATopKNonOverlapping(t *testing.T) {
 		ts[i] = 0.1
 	}
 	rs := ruleSetFor(t, ts, sax.Params{Window: 60, PAA: 6, Alphabet: 4})
-	res, err := RRA(ts, rs, 3, 5)
+	res, err := rraOf(ts, rs, 3, 5)
 	if err != nil {
 		t.Fatalf("RRA: %v", err)
 	}
@@ -244,11 +244,11 @@ func TestRRATopKNonOverlapping(t *testing.T) {
 func TestRRADeterministicForSeed(t *testing.T) {
 	ts := anomalousSine(1500, 50, 700, 50, 9)
 	rs := ruleSetFor(t, ts, sax.Params{Window: 50, PAA: 5, Alphabet: 4})
-	a, err := RRA(ts, rs, 2, 42)
+	a, err := rraOf(ts, rs, 2, 42)
 	if err != nil {
 		t.Fatalf("RRA: %v", err)
 	}
-	b, err := RRA(ts, rs, 2, 42)
+	b, err := rraOf(ts, rs, 2, 42)
 	if err != nil {
 		t.Fatalf("RRA: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestCandidates(t *testing.T) {
 func TestNearestNonSelf(t *testing.T) {
 	ts := anomalousSine(1200, 60, 600, 60, 17)
 	rs := ruleSetFor(t, ts, sax.Params{Window: 60, PAA: 6, Alphabet: 4})
-	nns := NearestNonSelf(ts, rs)
+	nns := nearestNonSelfOf(ts, rs, 1)
 	if len(nns) == 0 {
 		t.Fatal("no NN records")
 	}

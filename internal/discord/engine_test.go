@@ -108,7 +108,7 @@ func TestBruteForceTopKOrderingAndExclusion(t *testing.T) {
 	for i := 600; i < 640; i++ {
 		ts[i] = 0.3
 	}
-	res, err := BruteForce(ts, 40, 3)
+	res, err := bruteForceOf(ts, 40, 3)
 	if err != nil {
 		t.Fatalf("BruteForce: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestHOTSAXTopKNonOverlap(t *testing.T) {
 	for i := 700; i < 750; i++ {
 		ts[i] = -0.2
 	}
-	res, err := HOTSAX(ts, saxParams50(), 3, 63)
+	res, err := hotsaxOf(ts, saxParams50(), 3, 63)
 	if err != nil {
 		t.Fatalf("HOTSAX: %v", err)
 	}

@@ -1,6 +1,7 @@
 package discord
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,14 +32,16 @@ func TestRRAParallelMatchesSerial(t *testing.T) {
 	rs := ruleSetFor(t, ts, p)
 	st := NewStats(ts)
 
+	ctx := context.Background()
+	cands := Candidates(rs)
 	for seed := int64(0); seed < 5; seed++ {
-		want, err := RRAStats(st, rs, 3, seed)
+		want, err := rraParallel(ctx, st, cands, 3, seed, 1, Tuning{}, nil)
 		if err != nil {
 			t.Fatalf("seed %d: serial: %v", seed, err)
 		}
 		for _, workers := range []int{2, 3, 4} {
 			tag := fmt.Sprintf("seed=%d workers=%d", seed, workers)
-			got, err := RRAParallelStats(st, rs, 3, seed, workers)
+			got, err := rraParallel(ctx, st, cands, 3, seed, workers, Tuning{}, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", tag, err)
 			}
@@ -61,11 +64,13 @@ func TestRRAParallelWorkerClamping(t *testing.T) {
 	ts := anomalousSine(1500, 120, 700, 70, 3)
 	rs := ruleSetFor(t, ts, p)
 
-	want, err := RRA(ts, rs, 2, 1)
+	ctx := context.Background()
+	cands := Candidates(rs)
+	want, err := rraSearchPruned(ctx, NewStats(ts), cands, 2, 1, Tuning{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RRAParallel(ts, rs, 2, 1, 1)
+	one, err := rraParallel(ctx, NewStats(ts), cands, 2, 1, 1, Tuning{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +78,7 @@ func TestRRAParallelWorkerClamping(t *testing.T) {
 	if one.DistCalls != want.DistCalls {
 		t.Errorf("workers=1 DistCalls = %d, want serial's %d", one.DistCalls, want.DistCalls)
 	}
-	auto, err := RRAParallel(ts, rs, 2, 1, 0)
+	auto, err := rraParallel(ctx, NewStats(ts), cands, 2, 1, 0, Tuning{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +93,12 @@ func TestNearestNonSelfParallelStatsMatchesSerial(t *testing.T) {
 	rs := ruleSetFor(t, ts, p)
 	st := NewStats(ts)
 
-	want := NearestNonSelf(ts, rs)
+	want := nearestNonSelfOf(ts, rs, 1)
 	for _, workers := range []int{1, 2, 3, 4} {
-		got := NearestNonSelfParallelStats(st, rs, workers)
+		got, err := NearestNonSelfParallelStatsCtx(context.Background(), st, rs, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -102,41 +110,42 @@ func TestNearestNonSelfParallelStatsMatchesSerial(t *testing.T) {
 	}
 }
 
-// Stats-sharing variants must behave exactly like their self-building
-// counterparts.
+// One Stats shared by every search on a series must give each search
+// exactly what a fresh Stats gives it.
 func TestStatsSharingVariantsMatch(t *testing.T) {
 	p := sax.Params{Window: 60, PAA: 4, Alphabet: 4}
 	ts := anomalousSine(900, 120, 400, 70, 11)
 	rs := ruleSetFor(t, ts, p)
 	st := NewStats(ts)
 
-	hs1, err1 := HOTSAX(ts, p, 1, 42)
-	hs2, err2 := HOTSAXStats(st, p, 1, 42)
+	ctx := context.Background()
+	hs1, err1 := hotsaxOf(ts, p, 1, 42)
+	hs2, err2 := HOTSAXStatsCtx(ctx, st, p, 1, 42)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("HOTSAX: %v / %v", err1, err2)
 	}
 	assertSameDiscords(t, "hotsax", hs1, hs2)
 	if hs1.DistCalls != hs2.DistCalls {
-		t.Errorf("HOTSAXStats DistCalls = %d, want %d", hs2.DistCalls, hs1.DistCalls)
+		t.Errorf("shared-Stats HOTSAX DistCalls = %d, want %d", hs2.DistCalls, hs1.DistCalls)
 	}
 
-	bf1, err1 := BruteForce(ts, p.Window, 1)
-	bf2, err2 := BruteForceStats(st, p.Window, 1)
+	bf1, err1 := bruteForceOf(ts, p.Window, 1)
+	bf2, err2 := BruteForceStatsCtx(ctx, st, p.Window, 1)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("BruteForce: %v / %v", err1, err2)
 	}
 	assertSameDiscords(t, "bruteforce", bf1, bf2)
 	if bf1.DistCalls != bf2.DistCalls {
-		t.Errorf("BruteForceStats DistCalls = %d, want %d", bf2.DistCalls, bf1.DistCalls)
+		t.Errorf("shared-Stats brute force DistCalls = %d, want %d", bf2.DistCalls, bf1.DistCalls)
 	}
 
-	rra1, err1 := RRA(ts, rs, 2, 0)
-	rra2, err2 := RRAStats(st, rs, 2, 0)
+	rra1, err1 := rraOf(ts, rs, 2, 0)
+	rra2, err2 := rraParallel(ctx, st, Candidates(rs), 2, 0, 1, Tuning{}, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("RRA: %v / %v", err1, err2)
 	}
 	assertSameDiscords(t, "rra", rra1, rra2)
 	if rra1.DistCalls != rra2.DistCalls {
-		t.Errorf("RRAStats DistCalls = %d, want %d", rra2.DistCalls, rra1.DistCalls)
+		t.Errorf("shared-Stats RRA DistCalls = %d, want %d", rra2.DistCalls, rra1.DistCalls)
 	}
 }

@@ -138,7 +138,7 @@ func benchSearchRRA(b *testing.B, name string, tuning Tuning) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rraSearchTuned(ctx, st, cands, 1, 1, tuning); err != nil {
+		if _, err := rraParallel(ctx, st, cands, 1, 1, 1, tuning, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

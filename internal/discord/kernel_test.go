@@ -189,8 +189,8 @@ func TestSearchKernelEquivalenceRegistry(t *testing.T) {
 
 			for _, red := range reductions {
 				rs := ruleSetReduced(t, ts, ds.Params, red)
-				refRRA, errRef := rraSearchTuned(ctx, st, Candidates(rs), 2, seed, Tuning{ReferenceKernel: true})
-				fastRRA, errFast := RRAStatsCtx(ctx, st, rs, 2, seed)
+				refRRA, errRef := rraParallel(ctx, st, Candidates(rs), 2, seed, 1, Tuning{ReferenceKernel: true}, nil)
+				fastRRA, errFast := rraParallel(ctx, st, Candidates(rs), 2, seed, 1, Tuning{}, nil)
 				if (errRef == nil) != (errFast == nil) {
 					t.Fatalf("rra red=%v: err=%v, reference err=%v", red, errFast, errRef)
 				}
@@ -202,7 +202,7 @@ func TestSearchKernelEquivalenceRegistry(t *testing.T) {
 				// reference: discords must match; DistCalls is
 				// scheduling-dependent there, so only the serial pair above
 				// pins the count.
-				parRRA, err := RRAParallelStatsCtx(ctx, st, rs, 2, seed, 3)
+				parRRA, err := rraParallel(ctx, st, Candidates(rs), 2, seed, 3, Tuning{}, nil)
 				if (err == nil) != (errRef == nil) {
 					t.Fatalf("rra parallel red=%v: err=%v, reference err=%v", red, err, errRef)
 				}
@@ -288,7 +288,7 @@ func TestSearchReleasesKernelScratch(t *testing.T) {
 	ts := anomalousSine(1500, 60, 700, 60, 17)
 	st := NewStats(ts)
 	p := sax.Params{Window: 60, PAA: 4, Alphabet: 4}
-	if _, err := HOTSAXStats(st, p, 1, 1); err != nil {
+	if _, err := HOTSAXStatsCtx(context.Background(), st, p, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// The pool must now hold a kernel with capacity for the window.

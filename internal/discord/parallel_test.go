@@ -9,9 +9,9 @@ import (
 func TestNearestNonSelfParallelMatchesSerial(t *testing.T) {
 	ts := anomalousSine(2000, 50, 1000, 50, 21)
 	rs := ruleSetFor(t, ts, sax.Params{Window: 50, PAA: 5, Alphabet: 4})
-	serial := NearestNonSelf(ts, rs)
+	serial := nearestNonSelfOf(ts, rs, 1)
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got := NearestNonSelfParallel(ts, rs, workers)
+		got := nearestNonSelfOf(ts, rs, workers)
 		if len(got) != len(serial) {
 			t.Fatalf("workers=%d: %d results, serial %d", workers, len(got), len(serial))
 		}
@@ -26,8 +26,8 @@ func TestNearestNonSelfParallelMatchesSerial(t *testing.T) {
 func TestNearestNonSelfParallelMoreWorkersThanCandidates(t *testing.T) {
 	ts := anomalousSine(400, 40, 200, 40, 22)
 	rs := ruleSetFor(t, ts, sax.Params{Window: 40, PAA: 4, Alphabet: 4})
-	got := NearestNonSelfParallel(ts, rs, 10_000)
-	serial := NearestNonSelf(ts, rs)
+	got := nearestNonSelfOf(ts, rs, 10_000)
+	serial := nearestNonSelfOf(ts, rs, 1)
 	if len(got) != len(serial) {
 		t.Fatalf("%d vs %d results", len(got), len(serial))
 	}

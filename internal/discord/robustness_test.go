@@ -84,7 +84,7 @@ func TestRRAStripePanicContained(t *testing.T) {
 	}
 	defer func() { testHookRRAStripe = nil }()
 
-	res, err := RRAParallelStatsCtx(context.Background(), NewStats(ds.Series), rs, 2, 1, 4)
+	res, err := rraParallel(context.Background(), NewStats(ds.Series), Candidates(rs), 2, 1, 4, Tuning{}, nil)
 	if err == nil {
 		t.Fatal("injected panic did not surface as an error")
 	}
@@ -107,26 +107,26 @@ func TestRRAStripePanicContained(t *testing.T) {
 	waitForGoroutines(t, baseline)
 }
 
-// TestNearestNonSelfCtxEquivalence checks that the ctx-aware variant with
-// a background context returns byte-identical results to the legacy
-// signature, serial and parallel.
+// TestNearestNonSelfCtxEquivalence checks that the exported scan with a
+// background context returns byte-identical results to the serial scan,
+// at one worker and at four.
 func TestNearestNonSelfCtxEquivalence(t *testing.T) {
 	ts := anomalousSine(800, 40, 400, 40, 7)
 	rs := ruleSetFor(t, ts, sax.Params{Window: 60, PAA: 4, Alphabet: 4})
 
 	st := NewStats(ts)
-	legacy := NearestNonSelfParallelStats(st, rs, 4)
+	serial := nearestNonSelfOf(ts, rs, 1)
 	for _, workers := range []int{1, 4} {
 		got, err := NearestNonSelfParallelStatsCtx(context.Background(), st, rs, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got) != len(legacy) {
-			t.Fatalf("workers=%d: %d discords, legacy %d", workers, len(got), len(legacy))
+		if len(got) != len(serial) {
+			t.Fatalf("workers=%d: %d discords, serial %d", workers, len(got), len(serial))
 		}
 		for i := range got {
-			if got[i] != legacy[i] {
-				t.Fatalf("workers=%d: discord %d differs: %+v vs %+v", workers, i, got[i], legacy[i])
+			if got[i] != serial[i] {
+				t.Fatalf("workers=%d: discord %d differs: %+v vs %+v", workers, i, got[i], serial[i])
 			}
 		}
 	}
@@ -139,7 +139,7 @@ func TestNearestNonSelfCtxEquivalence(t *testing.T) {
 func TestRRACancellationMidSearch(t *testing.T) {
 	_, st, cands := ecgRules(t)
 
-	full, err := rraSearch(context.Background(), st, cands, 3, 1)
+	full, err := rraSearchPruned(context.Background(), st, cands, 3, 1, Tuning{}, nil)
 	if err != nil {
 		t.Fatalf("uncancelled search: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestRRACancellationMidSearch(t *testing.T) {
 	sawCancel := false
 	for _, polls := range []int64{0, 1, 5, 50, 500} {
 		ctx := newCountdownCtx(polls)
-		res, err := rraSearch(ctx, NewStats(st.ts), cands, 3, 1)
+		res, err := rraSearchPruned(ctx, NewStats(st.ts), cands, 3, 1, Tuning{}, nil)
 		if err == nil {
 			// The search finished before the countdown fired — completing
 			// is always acceptable, but the result must then be the full
@@ -197,7 +197,7 @@ func TestRRAParallelCancelledPromptly(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RRAParallelStatsCtx(ctx, st, rs, 3, 1, 4)
+	res, err := RRAParallelStatsCodedCtx(ctx, st, rs, 3, 1, 4, ds.Params)
 	if err == nil {
 		t.Fatal("cancelled search returned no error")
 	}
@@ -227,7 +227,7 @@ func TestSearchesHonorDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
-	if _, err := RRAStatsCtx(ctx, st, rs, 2, 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := RRAParallelStatsCodedCtx(ctx, st, rs, 2, 1, 1, ds.Params); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("RRA: err = %v, want DeadlineExceeded", err)
 	}
 	if _, err := HOTSAXStatsCtx(ctx, st, ds.Params, 2, 1); !errors.Is(err, context.DeadlineExceeded) {
@@ -242,8 +242,8 @@ func TestSearchesHonorDeadline(t *testing.T) {
 }
 
 // TestCtxBackgroundByteIdentical confirms the no-cancellation guarantee:
-// with a background context the ctx-aware searches return byte-identical
-// discords to the legacy entry points, at every worker count.
+// with a background context the exported RRA search returns discords
+// byte-identical to the serial, uncoded oracle at every worker count.
 func TestCtxBackgroundByteIdentical(t *testing.T) {
 	ds, err := datasets.Generate("ecg0606")
 	if err != nil {
@@ -252,12 +252,12 @@ func TestCtxBackgroundByteIdentical(t *testing.T) {
 	st := NewStats(ds.Series)
 	rs := ruleSetFor(t, ds.Series, ds.Params)
 
-	want, err := RRAStats(NewStats(ds.Series), rs, 3, 1)
+	want, err := rraOf(ds.Series, rs, 3, 1)
 	if err != nil {
-		t.Fatalf("RRAStats: %v", err)
+		t.Fatalf("serial RRA: %v", err)
 	}
 	for _, workers := range []int{1, 2, 4, 7} {
-		got, err := RRAParallelStatsCtx(context.Background(), st, rs, 3, 1, workers)
+		got, err := RRAParallelStatsCodedCtx(context.Background(), st, rs, 3, 1, workers, ds.Params)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

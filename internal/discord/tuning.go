@@ -1,12 +1,8 @@
 package discord
 
 import (
-	"context"
 	"math/rand"
 	"sort"
-
-	"grammarviz/internal/grammar"
-	"grammarviz/internal/sax"
 )
 
 // Tuning disables individual search heuristics, for ablation studies of
@@ -33,16 +29,6 @@ type Tuning struct {
 	// exists purely for the equivalence property tests and for measuring
 	// what the fast path saves.
 	ReferenceKernel bool
-}
-
-// RRATuned is RRA with ablation switches.
-func RRATuned(ts []float64, rs *grammar.RuleSet, k int, seed int64, tuning Tuning) (Result, error) {
-	return rraSearchTuned(context.Background(), NewStats(ts), Candidates(rs), k, seed, tuning)
-}
-
-// HOTSAXTuned is HOTSAX with ablation switches.
-func HOTSAXTuned(ts []float64, p sax.Params, k int, seed int64, tuning Tuning) (Result, error) {
-	return hotsaxSearch(context.Background(), NewStats(ts), p, k, seed, tuning)
 }
 
 // orderOuter produces the outer-loop visiting order: shuffled, then

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"time"
@@ -66,7 +67,7 @@ func RunBaselines(name string, seed int64) ([]BaselineResult, error) {
 
 	// HOTSAX.
 	start = time.Now()
-	hs, err := discord.HOTSAX(ds.Series, ds.Params, 1, seed)
+	hs, err := discord.HOTSAXStatsCtx(context.Background(), discord.NewStats(ds.Series), ds.Params, 1, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"grammarviz/internal/core"
@@ -102,7 +103,7 @@ func RunRanking(name string, k int, seed int64) (*RankingComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	hs, err := discord.HOTSAX(ds.Series, ds.Params, k, seed)
+	hs, err := discord.HOTSAXStatsCtx(context.Background(), discord.NewStats(ds.Series), ds.Params, k, seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: hotsax: %w", err)
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -73,7 +74,7 @@ func RunRowOn(ds *datasets.Dataset, seed int64) (Table1Row, error) {
 
 	// HOTSAX shares the pipeline's series statistics, so the prefix sums
 	// are built once for both searches.
-	hs, err := discord.HOTSAXStats(p.Stats(), ds.Params, 1, seed)
+	hs, err := discord.HOTSAXStatsCtx(context.Background(), p.Stats(), ds.Params, 1, seed)
 	if err != nil {
 		return row, fmt.Errorf("experiments: hotsax on %s: %w", ds.Name, err)
 	}
