@@ -131,8 +131,6 @@ type engine struct {
 // computation.
 const cancelPollInterval = 256
 
-func newEngine(ts []float64) *engine { return &engine{st: NewStats(ts)} }
-
 func (s *Stats) view() *engine { return &engine{st: s} }
 
 // viewCtx is view with cooperative cancellation: the engine polls ctx

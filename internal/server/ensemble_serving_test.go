@@ -73,10 +73,10 @@ func TestEnsembleMatchesLibrary(t *testing.T) {
 	if !reflect.DeepEqual(got2.Ensemble, got.Ensemble) {
 		t.Error("cached ensemble result diverges from the induced one")
 	}
-	if v := s.cacheMisses.Value(); v != 1 {
+	if v := s.ensembles.misses.Value(); v != 1 {
 		t.Errorf("ensemble inductions = %d, want 1", v)
 	}
-	if v := s.cacheHits.Value(); v != 1 {
+	if v := s.ensembles.hits.Value(); v != 1 {
 		t.Errorf("cache hits = %d, want 1", v)
 	}
 
@@ -102,7 +102,7 @@ func TestEnsembleCoalesced(t *testing.T) {
 	key := grammarviz.EnsembleFingerprint(series, grammarviz.EnsembleOptions{Members: 6, Seed: 1})
 
 	gate := make(chan struct{})
-	s.testHookInduce = func() { <-gate }
+	s.ensembles.testHookInduce = func() { <-gate }
 
 	req := AnalyzeRequest{Series: series, Mode: ModeEnsemble, Members: 6, Seed: 1}
 	statuses := make([]int, n)
@@ -115,7 +115,7 @@ func TestEnsembleCoalesced(t *testing.T) {
 			statuses[i], bodies[i] = postAnalyze(t, ts.URL, req)
 		}(i)
 	}
-	waitFor(t, "all callers to join the ensemble flight", func() bool { return s.eflights.Waiting(key) == n })
+	waitFor(t, "all callers to join the ensemble flight", func() bool { return s.ensembles.flights.Waiting(key) == n })
 	close(gate)
 	wg.Wait()
 
@@ -124,10 +124,10 @@ func TestEnsembleCoalesced(t *testing.T) {
 			t.Fatalf("request %d: status %d: %s", i, st, bodies[i])
 		}
 	}
-	if v := s.cacheMisses.Value(); v != 1 {
+	if v := s.ensembles.misses.Value(); v != 1 {
 		t.Errorf("inductions = %d, want exactly 1 for %d concurrent identical requests", v, n)
 	}
-	if v := s.coalesced.Value(); v != n-1 {
+	if v := s.ensembles.shared.Value(); v != n-1 {
 		t.Errorf("coalesced = %d, want %d", v, n-1)
 	}
 

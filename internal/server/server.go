@@ -8,9 +8,10 @@
 //   - Detector caching: analyses are keyed by grammarviz.Fingerprint
 //     (series bits + grammar-relevant options), so repeated queries
 //     against the same series reuse the induced grammar instead of
-//     re-running discretization and Sequitur. The cache is sharded
-//     N ways by fingerprint prefix so concurrent requests do not
-//     serialize on one LRU lock.
+//     re-running discretization and Sequitur. Ensemble results are
+//     cached the same way under grammarviz.EnsembleFingerprint. Each
+//     cache is sharded N ways by key prefix so concurrent requests do
+//     not serialize on one LRU lock.
 //   - Request coalescing: concurrent identical queries that miss the
 //     cache share a single induction (internal/coalesce); a cancelled
 //     waiter detaches without killing the shared flight.
@@ -18,9 +19,7 @@
 //     cost budget (internal/budget) where cost is estimated from series
 //     length × mode, so heavy work is charged proportionally and one hot
 //     tenant cannot starve the rest; overload is shed with 429/503
-//     carrying a Retry-After derived from the queue depth. The
-//     pre-budget flat semaphore survives behind Config.DisableBudget for
-//     A/B measurement.
+//     carrying a Retry-After derived from the queue depth.
 //   - Batching: /v1/analyze/batch fans a request set across the worker
 //     pool with per-item admission and per-item outcomes, so one failing
 //     item degrades itself, not the batch.
@@ -45,8 +44,6 @@ import (
 
 	"grammarviz"
 	"grammarviz/internal/budget"
-	"grammarviz/internal/cache"
-	"grammarviz/internal/coalesce"
 	"grammarviz/internal/discord"
 	"grammarviz/internal/memlog"
 	"grammarviz/internal/metrics"
@@ -65,30 +62,19 @@ type Config struct {
 	// CacheShards is the number of independently locked detector-cache
 	// shards, rounded up to a power of two (default 8; -1 selects 1).
 	CacheShards int
-	// DisableCoalesce turns off singleflight coalescing of concurrent
-	// identical inductions — every cache miss induces its own detector,
-	// the pre-coalescing behaviour kept for measurement.
-	DisableCoalesce bool
-	// MaxConcurrent bounds simultaneously running analyses under the
-	// legacy flat semaphore (DisableBudget) and sizes the default
-	// BudgetCapacity (default GOMAXPROCS).
+	// MaxConcurrent sizes the default BudgetCapacity and the Retry-After
+	// estimate (default GOMAXPROCS).
 	MaxConcurrent int
 	// MaxQueue bounds requests waiting for admission beyond capacity;
-	// overflow is shed with 429. The budget path defaults to a deep queue
-	// (64, or 2*MaxConcurrent if larger): fair-share wake order prevents
+	// overflow is shed with 429. The default is a deep queue (64, or
+	// 2*MaxConcurrent if larger): fair-share wake order prevents
 	// head-of-line starvation and per-request deadlines bound the wait, so
 	// queueing converts would-be sheds into slightly later answers instead
-	// of burning CPU on reject/retry cycles. The legacy FIFO path keeps
-	// its original shallow default of 2*MaxConcurrent, where a deep queue
-	// would mean unbounded head-of-line latency. -1 disables queueing.
+	// of burning CPU on reject/retry cycles. -1 disables queueing.
 	MaxQueue int
 	// BudgetCapacity is the admission pool in cost tokens (series points
 	// × mode weight); default MaxConcurrent × budget.DefaultSlotCost.
 	BudgetCapacity int64
-	// DisableBudget replaces the tenant-keyed cost-budget admission with
-	// the original flat MaxConcurrent semaphore and FIFO queue — the
-	// pre-budget behaviour kept for measurement.
-	DisableBudget bool
 	// MaxBatch caps the items of one /v1/analyze/batch request
 	// (default 64).
 	MaxBatch int
@@ -152,10 +138,7 @@ func (c Config) withDefaults() Config {
 	}
 	switch {
 	case c.MaxQueue == 0:
-		c.MaxQueue = 2 * c.MaxConcurrent
-		if !c.DisableBudget && c.MaxQueue < 64 {
-			c.MaxQueue = 64
-		}
+		c.MaxQueue = max(64, 2*c.MaxConcurrent)
 	case c.MaxQueue < 0:
 		c.MaxQueue = 0
 	}
@@ -208,23 +191,18 @@ var errQueueFull = errors.New("server: analysis capacity and wait queue full")
 // Server is the gvad HTTP service. Create one with New; it is safe for
 // concurrent use.
 type Server struct {
-	cfg     Config
-	cache   *cache.Sharded[*grammarviz.Detector]
-	flights coalesce.Group[*grammarviz.Detector]
+	cfg Config
 
-	// Ensemble results get their own cache and flight group: the keys
-	// (EnsembleFingerprint: series + member count + sampler seed) live in a
-	// different namespace than detector fingerprints, and the cached values
-	// are final fused results rather than reusable detectors.
-	ecache   *cache.Sharded[*grammarviz.EnsembleResult]
-	eflights coalesce.Group[*grammarviz.EnsembleResult]
+	// Ensemble results get their own memo: the keys (EnsembleFingerprint:
+	// series + member count + sampler seed) live in a different namespace
+	// than detector fingerprints, and the cached values are final fused
+	// results rather than reusable detectors.
+	detectors *memo[*grammarviz.Detector]
+	ensembles *memo[*grammarviz.EnsembleResult]
 
-	adm  *budget.Controller // nil when cfg.DisableBudget
+	adm  *budget.Controller
 	http *http.Server
 	mux  *http.ServeMux
-
-	sem    chan struct{} // legacy admission slots (DisableBudget only)
-	queued atomic.Int64  // legacy wait-queue depth (DisableBudget only)
 
 	sup      *sessionSupervisor
 	draining atomic.Bool
@@ -232,10 +210,6 @@ type Server struct {
 	reg            *metrics.Registry
 	requests       *metrics.CounterVec
 	latency        *metrics.Histogram
-	cacheHits      *metrics.Counter
-	cacheMisses    *metrics.Counter
-	cacheEvictions *metrics.Counter
-	coalesced      *metrics.Counter
 	distCalls      *metrics.Counter
 	inflight       *metrics.Gauge
 	queueDepth     *metrics.Gauge
@@ -258,10 +232,6 @@ type Server struct {
 	// testHookAnalyze, when set, runs inside the containment group before
 	// the analysis — tests use it to inject panics.
 	testHookAnalyze func(*AnalyzeRequest)
-	// testHookInduce, when set, runs at the start of every induction —
-	// tests use it to hold the flight open until every concurrent caller
-	// has joined.
-	testHookInduce func()
 	// testHookStreamAppend, when set, runs inside the session append's
 	// containment group — tests use it to inject panics into one session.
 	testHookStreamAppend func(sessionID string)
@@ -271,25 +241,25 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := metrics.NewRegistry()
+	byKind := func(name, help string) *metrics.CounterVec { return reg.NewCounterVec(name, help, "kind") }
+	mm := memoMetrics{
+		hits:      byKind("gvad_cache_hits_total", "Analyze requests served from a cache, by kind (detector: grammar induction skipped; ensemble: fused result reused)."),
+		misses:    byKind("gvad_cache_misses_total", "Analyze requests that had to build a new cache entry, by kind (detector induction or ensemble run)."),
+		evictions: byKind("gvad_cache_evictions_total", "Entries evicted from a cache, by kind (summed across shards)."),
+		shared:    byKind("gvad_coalesce_shared_total", "Analyze requests that joined another request's in-flight build instead of running their own, by kind."),
+	}
 	s := &Server{
-		cfg:    cfg,
-		cache:  cache.NewSharded[*grammarviz.Detector](cfg.CacheSize, cfg.CacheShards),
-		ecache: cache.NewSharded[*grammarviz.EnsembleResult](cfg.CacheSize, cfg.CacheShards),
-		reg:    reg,
+		cfg:       cfg,
+		detectors: newMemo[*grammarviz.Detector](cfg, mm, "detector"),
+		ensembles: newMemo[*grammarviz.EnsembleResult](cfg, mm, "ensemble"),
+		adm:       budget.New(budget.Config{Capacity: cfg.BudgetCapacity, MaxQueue: cfg.MaxQueue}),
+		reg:       reg,
 
 		requests: reg.NewCounterVec("gvad_requests_total",
 			"Analyze requests by mode and outcome (ok|partial|fallback|invalid|rejected|timeout|panic|error).",
 			"mode", "outcome"),
 		latency: reg.NewHistogram("gvad_request_duration_seconds",
 			"Wall-clock latency of admitted analyze requests.", nil),
-		cacheHits: reg.NewCounter("gvad_cache_hits_total",
-			"Analyze requests served from the detector cache (grammar induction skipped)."),
-		cacheMisses: reg.NewCounter("gvad_cache_misses_total",
-			"Analyze requests that had to induce a new detector."),
-		cacheEvictions: reg.NewCounter("gvad_cache_evictions_total",
-			"Detectors evicted from the cache (summed across shards)."),
-		coalesced: reg.NewCounter("gvad_coalesce_shared_total",
-			"Analyze requests that joined another request's in-flight induction instead of running their own."),
 		distCalls: reg.NewCounter("gvad_distance_calls_total",
 			"Distance-function calls made by discord searches (the paper's efficiency metric)."),
 		inflight: reg.NewGauge("gvad_inflight_requests",
@@ -327,12 +297,7 @@ func New(cfg Config) *Server {
 			"Size of the most recently written session checkpoint frame."),
 	}
 	s.sup = &sessionSupervisor{sessions: make(map[string]*streamSession)}
-	if cfg.DisableBudget {
-		s.sem = make(chan struct{}, cfg.MaxConcurrent)
-	} else {
-		s.adm = budget.New(budget.Config{Capacity: cfg.BudgetCapacity, MaxQueue: cfg.MaxQueue})
-		s.budgetCapacity.Set(cfg.BudgetCapacity)
-	}
+	s.budgetCapacity.Set(cfg.BudgetCapacity)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("POST /v1/analyze/batch", s.handleBatch)
@@ -363,16 +328,6 @@ func New(cfg Config) *Server {
 // Handler returns the root handler (useful for tests and embedding).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry returns the metrics registry backing /metrics.
-func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// CacheStats returns the detector cache's aggregate hit/miss/eviction
-// snapshot (summed across shards).
-func (s *Server) CacheStats() cache.Stats { return s.cache.Stats() }
-
-// ShardStats returns the per-shard detector-cache snapshots.
-func (s *Server) ShardStats() []cache.Stats { return s.cache.ShardStats() }
-
 // Serve accepts connections on ln until Shutdown. It returns nil after a
 // clean shutdown.
 func (s *Server) Serve(ln net.Listener) error {
@@ -389,26 +344,20 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return s.http.Shutdown(ctx)
 }
 
-// modeWeight is the admission cost multiplier per series point. The
-// table lives in internal/modes — the single source of truth shared with
-// cmd/gva — so serving and CLI cannot drift on pricing.
-func modeWeight(mode string) int64 {
-	return modes.Weight(mode)
-}
-
 // requestWeight is the admission cost multiplier for one validated
-// request: the mode weight, except ensemble mode, whose cost scales with
-// the member count — an ensemble is ~members density-weight inductions
-// fanned out over the same series.
+// request: the mode weight from internal/modes (the table shared with
+// cmd/gva, so serving and CLI cannot drift on pricing), except ensemble
+// mode, whose cost scales with the member count — an ensemble is ~members
+// density-weight inductions fanned out over the same series.
 func requestWeight(req *AnalyzeRequest) int64 {
 	if req.Mode == ModeEnsemble {
 		members := req.Members
 		if members <= 0 {
 			members = grammarviz.DefaultEnsembleMembers
 		}
-		return int64(members) * modeWeight(ModeDensity)
+		return int64(members) * modes.Weight(ModeDensity)
 	}
-	return modeWeight(req.Mode)
+	return modes.Weight(req.Mode)
 }
 
 // admit claims admission for a request of n points at the given cost
@@ -416,87 +365,38 @@ func requestWeight(req *AnalyzeRequest) int64 {
 // when capacity and queue are saturated, or ctx's error if the deadline
 // passes while queued.
 func (s *Server) admit(ctx context.Context, tenant string, n int, weight int64) (release func(), err error) {
-	if s.adm != nil {
-		rel, err := s.adm.Acquire(ctx, tenant, budget.Cost(n, weight))
-		if err != nil {
-			if errors.Is(err, budget.ErrSaturated) {
-				return nil, errQueueFull
-			}
-			return nil, err
-		}
-		s.inflight.Inc()
-		return func() {
-			s.inflight.Dec()
-			rel()
-		}, nil
-	}
-	return s.acquireLegacy(ctx)
-}
-
-// acquireLegacy claims a flat-semaphore slot, queueing up to cfg.MaxQueue
-// waiters in FIFO order — the pre-budget admission path, kept verbatim
-// behind Config.DisableBudget as the measurement baseline.
-func (s *Server) acquireLegacy(ctx context.Context) (release func(), err error) {
-	claimed := func() func() {
-		s.inflight.Inc()
-		return func() {
-			s.inflight.Dec()
-			<-s.sem
-		}
-	}
-	select {
-	case s.sem <- struct{}{}:
-		return claimed(), nil
-	default:
-	}
-	// No free slot: join the bounded wait queue or shed.
-	for {
-		n := s.queued.Load()
-		if n >= int64(s.cfg.MaxQueue) {
+	rel, err := s.adm.Acquire(ctx, tenant, budget.Cost(n, weight))
+	if err != nil {
+		if errors.Is(err, budget.ErrSaturated) {
 			return nil, errQueueFull
 		}
-		if s.queued.CompareAndSwap(n, n+1) {
-			break
-		}
+		return nil, err
 	}
-	defer s.queued.Add(-1)
-	select {
-	case s.sem <- struct{}{}:
-		return claimed(), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// pendingQueue returns the current admission wait-queue depth, whichever
-// admission layer is active.
-func (s *Server) pendingQueue() int {
-	if s.adm != nil {
-		return s.adm.QueueDepth()
-	}
-	return int(s.queued.Load())
+	s.inflight.Inc()
+	return func() {
+		s.inflight.Dec()
+		rel()
+	}, nil
 }
 
 // retryAfterSecs estimates when a shed client should retry: one second
 // of baseline backoff plus roughly one second per MaxConcurrent requests
 // already queued ahead of it, capped at 30.
 func (s *Server) retryAfterSecs() int {
-	secs := 1 + s.pendingQueue()/s.cfg.MaxConcurrent
+	secs := 1 + s.adm.QueueDepth()/s.cfg.MaxConcurrent
 	if secs > 30 {
 		secs = 30
 	}
 	return secs
 }
 
-// sampleAdmission refreshes the admission gauges from the active layer.
-// It runs per /metrics scrape, like sampleMemStats.
+// sampleAdmission refreshes the admission gauges. It runs per /metrics
+// scrape, like sampleMemStats.
 func (s *Server) sampleAdmission() {
-	s.queueDepth.Set(int64(s.pendingQueue()))
-	if s.adm != nil {
-		st := s.adm.Stats()
-		s.budgetInUse.Set(st.InUse)
-		s.budgetTenants.Set(int64(st.ActiveTenants))
-	}
+	s.queueDepth.Set(int64(s.adm.QueueDepth()))
+	st := s.adm.Stats()
+	s.budgetInUse.Set(st.InUse)
+	s.budgetTenants.Set(int64(st.ActiveTenants))
 }
 
 // sampleMemStats refreshes the gvad_mem_* gauges from the runtime. It runs
@@ -632,9 +532,11 @@ func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResp
 	if req.Mode == ModeEnsemble {
 		// Parameter-free: window/paa/alphabet are neither needed nor
 		// reported — the sampled member parameterizations are in the result.
-		res, hit, err := s.ensembleResult(ctx, series, grammarviz.EnsembleOptions{
-			Members: req.Members, Seed: req.Seed, Workers: req.Workers,
-		})
+		opts := grammarviz.EnsembleOptions{Members: req.Members, Seed: req.Seed, Workers: req.Workers}
+		res, hit, err := s.ensembles.get(ctx, grammarviz.EnsembleFingerprint(series, opts),
+			func(ctx context.Context) (*grammarviz.EnsembleResult, error) {
+				return grammarviz.EnsembleDensityCtx(ctx, series, opts)
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -671,7 +573,12 @@ func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResp
 	}
 	resp.Window, resp.PAA, resp.Alphabet = opts.Window, opts.PAA, opts.Alphabet
 
-	det, hit, err := s.detector(ctx, series, opts)
+	// The fingerprint covers the series bits and every option that
+	// influences the grammar, so equal keys mean byte-identical detectors.
+	det, hit, err := s.detectors.get(ctx, grammarviz.Fingerprint(series, opts),
+		func(ctx context.Context) (*grammarviz.Detector, error) {
+			return grammarviz.NewCtx(ctx, series, opts)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -706,105 +613,6 @@ func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest) (*AnalyzeResp
 		}
 	}
 	return resp, nil
-}
-
-// detector returns the cached Detector for (series, opts), inducing and
-// caching a new one on miss. Concurrent misses for the same fingerprint
-// coalesce into a single induction unless disabled; reused reports that
-// the detector came from the cache or from another request's flight, so
-// this request skipped induction. The fingerprint covers the series bits
-// and every option that influences the grammar, so equal keys mean
-// byte-identical detectors.
-func (s *Server) detector(ctx context.Context, series []float64, opts grammarviz.Options) (det *grammarviz.Detector, reused bool, err error) {
-	key := grammarviz.Fingerprint(series, opts)
-	if det, ok := s.cache.Get(key); ok {
-		s.cacheHits.Inc()
-		return det, true, nil
-	}
-	if s.cfg.DisableCoalesce {
-		det, err := s.induce(ctx, key, series, opts)
-		return det, false, err
-	}
-	det, joined, err := s.flights.Do(ctx, key, func(fctx context.Context) (*grammarviz.Detector, error) {
-		// A flight that completed between our cache probe and joining may
-		// have populated the cache already — re-check (without touching the
-		// lookup statistics) before paying for induction.
-		if det, ok := s.cache.Peek(key); ok {
-			return det, nil
-		}
-		return s.induce(fctx, key, series, opts)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if joined {
-		s.coalesced.Inc()
-	}
-	return det, joined, nil
-}
-
-// induce runs the full analysis for a cache miss and stores the result.
-func (s *Server) induce(ctx context.Context, key string, series []float64, opts grammarviz.Options) (*grammarviz.Detector, error) {
-	s.cacheMisses.Inc()
-	if s.testHookInduce != nil {
-		s.testHookInduce()
-	}
-	det, err := grammarviz.NewCtx(ctx, series, opts)
-	if err != nil {
-		return nil, err
-	}
-	if s.cache.Add(key, det) {
-		s.cacheEvictions.Inc()
-	}
-	return det, nil
-}
-
-// ensembleResult returns the cached EnsembleResult for (series, opts),
-// running and caching the fused analysis on miss. It mirrors detector():
-// ensemble keys (EnsembleFingerprint) cover the series bits, the member
-// count, and the sampler seed — everything that influences scores — so
-// equal keys mean byte-identical results and concurrent misses can share
-// one flight.
-func (s *Server) ensembleResult(ctx context.Context, series []float64, opts grammarviz.EnsembleOptions) (res *grammarviz.EnsembleResult, reused bool, err error) {
-	key := grammarviz.EnsembleFingerprint(series, opts)
-	if res, ok := s.ecache.Get(key); ok {
-		s.cacheHits.Inc()
-		return res, true, nil
-	}
-	if s.cfg.DisableCoalesce {
-		res, err := s.induceEnsemble(ctx, key, series, opts)
-		return res, false, err
-	}
-	res, joined, err := s.eflights.Do(ctx, key, func(fctx context.Context) (*grammarviz.EnsembleResult, error) {
-		if res, ok := s.ecache.Peek(key); ok {
-			return res, nil
-		}
-		return s.induceEnsemble(fctx, key, series, opts)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	if joined {
-		s.coalesced.Inc()
-	}
-	return res, joined, nil
-}
-
-// induceEnsemble runs the full ensemble analysis for a cache miss and
-// stores the fused result.
-func (s *Server) induceEnsemble(ctx context.Context, key string, series []float64, opts grammarviz.EnsembleOptions) (*grammarviz.EnsembleResult, error) {
-	s.cacheMisses.Inc()
-	if s.testHookInduce != nil {
-		s.testHookInduce()
-	}
-	res, err := grammarviz.EnsembleDensityCtx(ctx, series, opts)
-	if err != nil {
-		return nil, err
-	}
-	if s.ecache.Add(key, res) {
-		s.cacheEvictions.Inc()
-	}
-	return res, nil
 }
 
 // classifyError maps an analysis error to an HTTP status and a metrics

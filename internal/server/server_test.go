@@ -241,10 +241,10 @@ func TestCacheHitSkipsInduction(t *testing.T) {
 	if got := decodeAnalyze(t, body); got.CacheHit {
 		t.Error("first request reported a cache hit")
 	}
-	if v := scrapeMetric(t, ts.URL, "gvad_cache_misses_total"); v != 1 {
+	if v := scrapeMetric(t, ts.URL, `gvad_cache_misses_total{kind="detector"}`); v != 1 {
 		t.Errorf("gvad_cache_misses_total = %v, want 1", v)
 	}
-	if v := scrapeMetric(t, ts.URL, "gvad_cache_hits_total"); v != 0 {
+	if v := scrapeMetric(t, ts.URL, `gvad_cache_hits_total{kind="detector"}`); v != 0 {
 		t.Errorf("gvad_cache_hits_total = %v, want 0", v)
 	}
 
@@ -255,13 +255,13 @@ func TestCacheHitSkipsInduction(t *testing.T) {
 	if got := decodeAnalyze(t, body); !got.CacheHit {
 		t.Error("second identical request missed the cache")
 	}
-	if v := scrapeMetric(t, ts.URL, "gvad_cache_hits_total"); v != 1 {
+	if v := scrapeMetric(t, ts.URL, `gvad_cache_hits_total{kind="detector"}`); v != 1 {
 		t.Errorf("gvad_cache_hits_total = %v, want 1 (induction not skipped)", v)
 	}
-	if v := scrapeMetric(t, ts.URL, "gvad_cache_misses_total"); v != 1 {
+	if v := scrapeMetric(t, ts.URL, `gvad_cache_misses_total{kind="detector"}`); v != 1 {
 		t.Errorf("gvad_cache_misses_total = %v, want 1 (detector rebuilt)", v)
 	}
-	if cs := s.CacheStats(); cs.Hits != 1 || cs.Misses != 1 || cs.Len != 1 {
+	if cs := s.detectors.cache.Stats(); cs.Hits != 1 || cs.Misses != 1 || cs.Len != 1 {
 		t.Errorf("cache stats = %+v", cs)
 	}
 
@@ -375,7 +375,7 @@ func TestShutdownDrainsUnderLoad(t *testing.T) {
 		done := s.requests.With(ModeBestEffort, "ok").Value() +
 			s.requests.With(ModeBestEffort, "partial").Value() +
 			s.requests.With(ModeBestEffort, "fallback").Value()
-		return int(s.inflight.Value()) + s.pendingQueue() + int(done)
+		return int(s.inflight.Value()) + s.adm.QueueDepth() + int(done)
 	}
 	for admitDeadline := time.Now().Add(10 * time.Second); inServer() < inFlight; {
 		if time.Now().After(admitDeadline) {
@@ -410,8 +410,8 @@ func TestShutdownDrainsUnderLoad(t *testing.T) {
 		runtime.NumGoroutine(), baseline)
 }
 
-// TestAdmissionControl exercises both shedding paths white-box, on both
-// admission layers: with capacity occupied, a queue-less server sheds
+// TestAdmissionControl exercises both shedding paths of the cost-budget
+// admission white-box: with capacity occupied, a queue-less server sheds
 // with 429 immediately, and a queued request that outlives its budget
 // gets 503 — each carrying a Retry-After hint.
 func TestAdmissionControl(t *testing.T) {
@@ -443,55 +443,43 @@ func TestAdmissionControl(t *testing.T) {
 		}
 	}
 
-	// occupy fills the server's active admission layer completely and
-	// returns the release.
+	// occupy fills the server's admission budget completely and returns
+	// the release.
 	occupy := func(t *testing.T, s *Server) func() {
 		t.Helper()
-		if s.adm != nil {
-			release, err := s.adm.Acquire(context.Background(), "occupier", s.adm.Capacity())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return release
+		release, err := s.adm.Acquire(context.Background(), "occupier", s.adm.Capacity())
+		if err != nil {
+			t.Fatal(err)
 		}
-		s.sem <- struct{}{}
-		return func() { <-s.sem }
+		return release
 	}
 
-	for _, mode := range []struct {
-		name string
-		cfg  func(Config) Config
-	}{
-		{"budget", func(c Config) Config { return c }},
-		{"legacy", func(c Config) Config { c.DisableBudget = true; return c }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			t.Run("queue-full-sheds-429", func(t *testing.T) {
-				s, ts := newTestServer(t, mode.cfg(Config{MaxConcurrent: 1, MaxQueue: -1}))
-				defer occupy(t, s)()
-				resp := postRaw(t, ts.URL, req)
-				if resp.StatusCode != http.StatusTooManyRequests {
-					t.Fatalf("status = %d, want 429", resp.StatusCode)
-				}
-				assertRetryAfter(t, resp)
-				if v := scrapeMetric(t, ts.URL, `gvad_requests_total{mode="rra",outcome="rejected"}`); v != 1 {
-					t.Errorf("rejected counter = %v, want 1", v)
-				}
-			})
-
-			t.Run("queued-past-deadline-503", func(t *testing.T) {
-				s, ts := newTestServer(t, mode.cfg(Config{MaxConcurrent: 1, MaxQueue: 4}))
-				defer occupy(t, s)()
-				r := req
-				r.TimeoutMS = 50
-				resp := postRaw(t, ts.URL, r)
-				if resp.StatusCode != http.StatusServiceUnavailable {
-					t.Fatalf("status = %d, want 503", resp.StatusCode)
-				}
-				assertRetryAfter(t, resp)
-			})
+	t.Run("budget", func(t *testing.T) {
+		t.Run("queue-full-sheds-429", func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: -1})
+			defer occupy(t, s)()
+			resp := postRaw(t, ts.URL, req)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("status = %d, want 429", resp.StatusCode)
+			}
+			assertRetryAfter(t, resp)
+			if v := scrapeMetric(t, ts.URL, `gvad_requests_total{mode="rra",outcome="rejected"}`); v != 1 {
+				t.Errorf("rejected counter = %v, want 1", v)
+			}
 		})
-	}
+
+		t.Run("queued-past-deadline-503", func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxConcurrent: 1, MaxQueue: 4})
+			defer occupy(t, s)()
+			r := req
+			r.TimeoutMS = 50
+			resp := postRaw(t, ts.URL, r)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("status = %d, want 503", resp.StatusCode)
+			}
+			assertRetryAfter(t, resp)
+		})
+	})
 }
 
 // TestPanicContained injects a panic into the analysis path and checks

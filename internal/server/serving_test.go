@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"grammarviz"
+	"grammarviz/internal/budget"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -42,7 +43,7 @@ func TestCoalescedInduction(t *testing.T) {
 	key := grammarviz.Fingerprint(series, opts)
 
 	gate := make(chan struct{})
-	s.testHookInduce = func() { <-gate }
+	s.detectors.testHookInduce = func() { <-gate }
 
 	req := AnalyzeRequest{Series: series, Mode: ModeDensity, Window: 45, PAA: 4, Alphabet: 4}
 	statuses := make([]int, n)
@@ -57,7 +58,7 @@ func TestCoalescedInduction(t *testing.T) {
 	}
 	// Release the flight only once all n requests are attached to it, so
 	// exactly n-1 of them joined a flight they did not start.
-	waitFor(t, "all callers to join the flight", func() bool { return s.flights.Waiting(key) == n })
+	waitFor(t, "all callers to join the flight", func() bool { return s.detectors.flights.Waiting(key) == n })
 	close(gate)
 	wg.Wait()
 
@@ -66,13 +67,13 @@ func TestCoalescedInduction(t *testing.T) {
 			t.Fatalf("request %d: status %d: %s", i, st, bodies[i])
 		}
 	}
-	if v := s.cacheMisses.Value(); v != 1 {
+	if v := s.detectors.misses.Value(); v != 1 {
 		t.Errorf("inductions = %d, want exactly 1 for %d concurrent identical requests", v, n)
 	}
-	if v := s.coalesced.Value(); v != n-1 {
+	if v := s.detectors.shared.Value(); v != n-1 {
 		t.Errorf("gvad_coalesce_shared_total = %d, want %d", v, n-1)
 	}
-	if v := s.cacheHits.Value(); v != 0 {
+	if v := s.detectors.hits.Value(); v != 0 {
 		t.Errorf("cache hits = %d during a single coalesced flight, want 0", v)
 	}
 
@@ -101,7 +102,7 @@ func TestCoalescedInduction(t *testing.T) {
 
 	// The flight is gone and a later identical request is a plain cache
 	// hit, not a new induction.
-	if got := s.flights.Inflight(); got != 0 {
+	if got := s.detectors.flights.Inflight(); got != 0 {
 		t.Errorf("flights in progress after drain = %d, want 0", got)
 	}
 	status, body := postAnalyze(t, ts.URL, req)
@@ -111,8 +112,64 @@ func TestCoalescedInduction(t *testing.T) {
 	if got := decodeAnalyze(t, body); !got.CacheHit {
 		t.Error("follow-up request missed the cache")
 	}
-	if v := s.cacheMisses.Value(); v != 1 {
+	if v := s.detectors.misses.Value(); v != 1 {
 		t.Errorf("inductions after follow-up = %d, want still 1", v)
+	}
+}
+
+// TestMemoCountersByKind: detector and ensemble traffic land in separate
+// kind-labelled series — an ensemble cache hit must not read as a
+// detector hit, nor a detector miss as an ensemble miss.
+func TestMemoCountersByKind(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	series := testSeries(900, 45, 500, 60, 3)
+	ens := AnalyzeRequest{Series: series, Mode: ModeEnsemble, Members: 4, Seed: 1}
+	for i := 0; i < 2; i++ { // one ensemble miss, then one ensemble hit
+		if status, body := postAnalyze(t, ts.URL, ens); status != http.StatusOK {
+			t.Fatalf("ensemble request %d: status %d: %s", i, status, body)
+		}
+	}
+	det := AnalyzeRequest{Series: series, Mode: ModeDensity, Window: 45, PAA: 4, Alphabet: 4}
+	if status, body := postAnalyze(t, ts.URL, det); status != http.StatusOK {
+		t.Fatalf("detector request: status %d: %s", status, body)
+	}
+	for series, want := range map[string]float64{
+		`gvad_cache_hits_total{kind="ensemble"}`:      1,
+		`gvad_cache_misses_total{kind="ensemble"}`:    1,
+		`gvad_cache_hits_total{kind="detector"}`:      0,
+		`gvad_cache_misses_total{kind="detector"}`:    1,
+		`gvad_cache_evictions_total{kind="detector"}`: 0,
+		`gvad_coalesce_shared_total{kind="ensemble"}`: 0,
+	} {
+		if got := scrapeMetric(t, ts.URL, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+}
+
+// TestConfigDefaults pins the defaults withDefaults derives from
+// MaxConcurrent: the admission queue is the larger of 64 and twice the
+// concurrency, and the budget holds one default slot per concurrent
+// analysis.
+func TestConfigDefaults(t *testing.T) {
+	for _, tc := range []struct {
+		maxConcurrent, maxQueue int
+		wantQueue               int
+	}{
+		{maxConcurrent: 1, wantQueue: 64},
+		{maxConcurrent: 32, wantQueue: 64},
+		{maxConcurrent: 40, wantQueue: 80},
+		{maxConcurrent: 40, maxQueue: 5, wantQueue: 5},
+		{maxConcurrent: 40, maxQueue: -1, wantQueue: 0},
+	} {
+		c := Config{MaxConcurrent: tc.maxConcurrent, MaxQueue: tc.maxQueue}.withDefaults()
+		if c.MaxQueue != tc.wantQueue {
+			t.Errorf("MaxConcurrent %d, MaxQueue %d: default queue = %d, want %d",
+				tc.maxConcurrent, tc.maxQueue, c.MaxQueue, tc.wantQueue)
+		}
+		if want := int64(tc.maxConcurrent) * budget.DefaultSlotCost; c.BudgetCapacity != want {
+			t.Errorf("MaxConcurrent %d: BudgetCapacity = %d, want %d", tc.maxConcurrent, c.BudgetCapacity, want)
+		}
 	}
 }
 
@@ -126,7 +183,7 @@ func TestCancelledWaiterDoesNotKillFlight(t *testing.T) {
 	key := grammarviz.Fingerprint(series, grammarviz.Options{Window: 45, PAA: 4, Alphabet: 4})
 
 	gate := make(chan struct{})
-	s.testHookInduce = func() { <-gate }
+	s.detectors.testHookInduce = func() { <-gate }
 
 	patient := AnalyzeRequest{Series: series, Mode: ModeDensity, Window: 45, PAA: 4, Alphabet: 4}
 	impatient := patient
@@ -148,11 +205,11 @@ func TestCancelledWaiterDoesNotKillFlight(t *testing.T) {
 	go post(patient)
 	go post(impatient)
 	go post(patient)
-	waitFor(t, "all callers to join the flight", func() bool { return s.flights.Waiting(key) == n })
+	waitFor(t, "all callers to join the flight", func() bool { return s.detectors.flights.Waiting(key) == n })
 
 	// The impatient waiter detaches on its own deadline; the flight keeps
 	// exactly the two patient participants.
-	waitFor(t, "impatient waiter to detach", func() bool { return s.flights.Waiting(key) == n-1 })
+	waitFor(t, "impatient waiter to detach", func() bool { return s.detectors.flights.Waiting(key) == n-1 })
 	close(gate)
 
 	var ok, timedOut int
@@ -170,7 +227,7 @@ func TestCancelledWaiterDoesNotKillFlight(t *testing.T) {
 	if ok != n-1 || timedOut != 1 {
 		t.Errorf("ok=%d timedOut=%d, want %d ok and 1 timeout", ok, timedOut, n-1)
 	}
-	if v := s.cacheMisses.Value(); v != 1 {
+	if v := s.detectors.misses.Value(); v != 1 {
 		t.Errorf("inductions = %d, want 1 (detachment must not restart the flight)", v)
 	}
 }
@@ -228,17 +285,17 @@ func TestShardEvictionTotalsMatchSingleLRU(t *testing.T) {
 	single := run(1)
 
 	var sum struct{ hits, misses, evictions uint64 }
-	for _, st := range sharded.ShardStats() {
+	for _, st := range sharded.detectors.cache.ShardStats() {
 		sum.hits += st.Hits
 		sum.misses += st.Misses
 		sum.evictions += st.Evictions
 	}
-	agg := sharded.CacheStats()
+	agg := sharded.detectors.cache.Stats()
 	if agg.Hits != sum.hits || agg.Misses != sum.misses || agg.Evictions != sum.evictions {
 		t.Errorf("aggregate %+v does not sum shard counters %+v", agg, sum)
 	}
 
-	ss := single.CacheStats()
+	ss := single.detectors.cache.Stats()
 	if agg.Evictions != ss.Evictions {
 		t.Errorf("sharded evictions = %d, single-LRU evictions = %d on the same workload (len %d vs %d)",
 			agg.Evictions, ss.Evictions, agg.Len, ss.Len)
@@ -249,7 +306,7 @@ func TestShardEvictionTotalsMatchSingleLRU(t *testing.T) {
 	if agg.Hits+agg.Misses != ss.Hits+ss.Misses {
 		t.Errorf("lookup totals diverged: sharded %d, single %d", agg.Hits+agg.Misses, ss.Hits+ss.Misses)
 	}
-	if got, want := sharded.cacheEvictions.Value(), uint64(len(workload)-shards); got != want {
+	if got, want := sharded.detectors.evictions.Value(), uint64(len(workload)-shards); got != want {
 		t.Errorf("gvad_cache_evictions_total = %d, want %d (distinct inductions - occupancy)", got, want)
 	}
 }
@@ -390,9 +447,9 @@ func TestTenantFairShare(t *testing.T) {
 		}
 	}
 	post("hot") // backlog: does not fit until a release
-	waitFor(t, "hot backlog queued", func() bool { return s.pendingQueue() == 1 })
+	waitFor(t, "hot backlog queued", func() bool { return s.adm.QueueDepth() == 1 })
 	post("cold") // arrives last, holds zero admitted cost
-	waitFor(t, "cold tenant queued", func() bool { return s.pendingQueue() == 2 })
+	waitFor(t, "cold tenant queued", func() bool { return s.adm.QueueDepth() == 2 })
 
 	// First release: hot still holds 900 tokens, cold holds zero — the
 	// cold tenant is woken despite queueing behind hot's backlog.

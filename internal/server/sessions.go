@@ -371,7 +371,7 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	// Admission: streaming appends are the cheap incremental path, so they
 	// are charged at the lowest weight, but they still pass through the
 	// tenant budget so a flood of appends cannot starve analyses.
-	release, err := s.admit(r.Context(), sess.meta.Tenant, len(req.Points), modeWeight(modes.Stream))
+	release, err := s.admit(r.Context(), sess.meta.Tenant, len(req.Points), modes.Weight(modes.Stream))
 	if err != nil {
 		if errors.Is(err, errQueueFull) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSecs()))
