@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check build vet test race bench-smoke bench perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck govulncheck serve loadtest
+.PHONY: check build vet test race bench-smoke bench perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck govulncheck serve loadtest strays
 
 ## check: everything CI runs — vet, build, race-enabled tests, bench smoke,
 ## perf gate, fuzz smoke, crash-recovery test, static analysis (go vet +
-## gvadlint + staticcheck)
-check: vet build race bench-smoke perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck
+## gvadlint + staticcheck), and last the stray-process check
+check: vet build race bench-smoke perfgate ensemble-smoke fuzz-smoke crashtest lint staticcheck strays
 
 build:
 	$(GO) build ./...
@@ -100,6 +100,19 @@ serve:
 loadtest:
 	$(GO) run ./cmd/gvload -self -duration 5s -concurrency 16 \
 		-tenants 8 -series 2000 -batch 4
+
+## strays: list and fail on any gvad, gvad.test or gvload process, or go
+## test -fuzz worker, still running from a go build directory (go-build*)
+## or the benchmark's .bench_build/. Tests, fuzz runs and benchmark runs
+## must stop every process they start; one left behind holds CPU and
+## memory and skews every later measurement on the host.
+strays:
+	@found=$$(ps -eo pid=,args= | awk '$$2 ~ /go-build|\.bench_build\// && ($$2 ~ /\/(gvad|gvad\.test|gvload)$$/ || / -test\.fuzz/)'); \
+	if [ -n "$$found" ]; then \
+		echo "strays: processes left running:" >&2; \
+		echo "$$found" >&2; \
+		exit 1; \
+	fi
 
 ## lint: the repo's own analyzers (cmd/gvadlint) — nobarego, ctxdiscipline,
 ## noalloc, poolrelease, lockdiscipline, walfirst, errdiscipline,
